@@ -27,11 +27,11 @@
 // # Concurrency
 //
 // A Collection is safe for concurrent use: any number of readers
-// (Query, QueryBatch, Search, SearchParallel, SearchCompressed,
-// SearchMIL, Len, Save, …) run concurrently with each other, and writers
-// (Add, AddBatch, Delete, Compact, Recluster) are serialized against them by an
-// internal RWMutex. Every
-// search observes a consistent snapshot and returns exact results.
+// (Query, QueryBatch, QueryExplain, SearchProgressive, Len, Save, …) run
+// concurrently with each other, and writers (Add, AddBatch, Delete,
+// Compact, Recluster) are serialized against them by an internal
+// RWMutex. Every search observes a consistent snapshot and returns exact
+// results.
 // SearchProgressive and AsFeature take a snapshot under the lock (sealed
 // segments are shared structurally; the small active segment is copied),
 // so the returned Progressive and Feature values may be driven after the
@@ -42,19 +42,17 @@
 // Every query runs through a cost-based planner (package plan): a single
 // QuerySpec is turned into a per-segment plan that assigns each segment
 // an access path — plain BOND, 8-bit compressed filter-and-refine, a
-// VA-File filter, an exact scan, or the MIL reference engine — from the
-// segment's synopsis and an adaptive per-collection cost model that the
-// executor feeds back into after every query. Plan.Explain (via
-// Collection.QueryExplain) prints the chosen paths with predicted and
-// actual costs.
+// VA-File filter, or an exact scan — from the segment's synopsis and an
+// adaptive per-collection cost model that the executor feeds back into
+// after every query. Plan.Explain (via Collection.QueryExplain) prints
+// the chosen paths with predicted and actual costs. The paper's MIL
+// formulation (Section 6.1) is kept in package core as a reference engine
+// and test oracle, not as a query path.
 //
 // # Basic use
 //
 //	col := bond.NewCollection(vectors)          // vectors: [][]float64
 //	res, err := col.Query(bond.QuerySpec{Query: q, K: 10, Criterion: bond.Hq})
-//
-// The legacy Search* entry points remain as thin wrappers over Query
-// with a forced strategy; they return identical results.
 //
 // Supported query classes (exact unless the spec sets Tolerance or
 // Deadline):
@@ -111,8 +109,9 @@ import (
 // Re-exported search types. See package core for the full documentation of
 // each criterion, ordering, and option.
 type (
-	// Options configures a Search. Zero value + K is a sensible default
-	// (criterion Hq, descending-query order, step 8).
+	// Options configures SearchProgressive (one-shot queries take a
+	// QuerySpec). Zero value + K is a sensible default (criterion Hq,
+	// descending-query order, step 8).
 	Options = core.Options
 	// Criterion selects pruning rule and metric.
 	Criterion = core.Criterion
@@ -127,8 +126,6 @@ type (
 	// Stats describes the work a search performed, including how many
 	// segments were searched and how many the synopses skipped.
 	Stats = core.Stats
-	// MILOptions configures the MIL reference engine.
-	MILOptions = core.MILOptions
 	// Feature is one component of a multi-feature query.
 	Feature = multifeature.Feature
 	// Aggregate combines per-feature similarities.
@@ -176,12 +173,10 @@ const (
 	StrategyVAFile = plan.ForceVAFile
 	// StrategyExact forces a full exact scan — the seqscan oracle.
 	StrategyExact = plan.ForceExact
-	// StrategyMIL forces the MIL relational-operator reference engine.
-	StrategyMIL = plan.ForceMIL
 )
 
 // ParseStrategy parses a strategy name (auto, bond, compressed, vafile,
-// exact, mil) as the CLIs spell it.
+// exact) as the CLIs spell it.
 func ParseStrategy(s string) (Strategy, error) { return plan.ParseStrategy(s) }
 
 // ParseCriterion parses a criterion name (hq, hh, eq, ev; case-insensitive)
@@ -612,13 +607,6 @@ func (c *Collection) CompactRatio(minRatio float64) []int {
 	return mapping
 }
 
-// planSegments exposes the current segments to the query planner: the
-// engine view of each segment plus, for sealed segments, the lazily built
-// compressed access paths (column codes for the compressed filter,
-// row-major codes for the VA-File). The list is memoized until a writer
-// changes the store, so the steady-state query path allocates nothing
-// here. Callers must hold at least the read lock for the duration of the
-// search.
 // errIfUnmapped returns ErrClosed when Close has released the memory
 // mappings some sealed segments' columns aliased — from that point the
 // column data is simply gone, so read paths refuse instead of faulting.
@@ -631,6 +619,13 @@ func (c *Collection) errIfUnmapped() error {
 	return nil
 }
 
+// planSegments exposes the current segments to the query planner: the
+// engine view of each segment plus, for sealed segments, the lazily built
+// compressed access paths (column codes for the compressed filter,
+// row-major codes for the VA-File). The list is memoized until a writer
+// changes the store, so the steady-state query path allocates nothing
+// here. Callers must hold at least the read lock for the duration of the
+// search.
 func (c *Collection) planSegments() []plan.Segment {
 	if cached := c.planCache.Load(); cached != nil {
 		return *cached
@@ -713,14 +708,17 @@ func (c *Collection) snapshotViews() []core.SegmentView {
 
 // Query plans and executes a query: the spec is turned into a Plan — an
 // ordered list of per-segment steps, each assigned an access path (plain
-// BOND, 8-bit compressed filter-and-refine, VA-File filter, exact scan,
-// or the MIL reference engine) from the segment's synopsis and the
-// collection's adaptive cost model — and the plan runs through the shared
-// engine, skipping segments whose synopses prove them hopeless. Observed
-// costs feed back into the model, so plans adapt as data and workloads
-// shift. The answer is exact unless the spec sets Tolerance or Deadline.
+// BOND, 8-bit compressed filter-and-refine, VA-File filter, or exact
+// scan) from the segment's synopsis and the collection's adaptive cost
+// model — and the plan runs through the shared engine, skipping segments
+// whose synopses prove them hopeless. Observed costs feed back into the
+// model, so plans adapt as data and workloads shift. The answer is exact
+// unless the spec sets Tolerance or Deadline.
 //
-// All legacy Search* entry points are thin wrappers over Query.
+// Query, QueryBatch and QueryExplain are the only one-shot query entry
+// points; SearchProgressive (caller-driven steps) and MultiSearch
+// (synchronized multi-feature search) cover the two query forms a
+// QuerySpec cannot express.
 //
 // The hot path is allocation-free in steady state: the plan, the engine
 // scratch (scores, candidate lists, heaps, bound tables), and the planner
@@ -856,42 +854,6 @@ func (c *Collection) queryPlanned(spec QuerySpec) (QueryResult, *QueryPlan, erro
 	return res, p, nil
 }
 
-// Search runs BOND and returns the exact K best matches for q, skipping
-// whole segments whose synopses prove them hopeless (reported in
-// Stats.SegmentsSkipped).
-//
-// Deprecated: use Query with a QuerySpec; Search forces StrategyBOND and
-// cannot benefit from cost-based access-path selection.
-func (c *Collection) Search(q []float64, opts Options) (Result, error) {
-	spec := plan.SpecFromOptions(q, opts)
-	spec.Strategy = StrategyBOND
-	res, err := c.Query(spec)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Results: res.Results, Stats: res.Stats}, nil
-}
-
-// SearchParallel runs BOND concurrently — one goroutine per segment — and
-// merges the per-segment results; the answer is identical to Search. The
-// shards argument is kept for compatibility and only selects the
-// sequential path when < 2; the parallelism degree is the segment count.
-//
-// Deprecated: use Query with QuerySpec.Parallel ≥ 2, which fans out only
-// the segments large enough to pay for a goroutine.
-func (c *Collection) SearchParallel(q []float64, opts Options, shards int) (Result, error) {
-	spec := plan.SpecFromOptions(q, opts)
-	spec.Strategy = StrategyBOND
-	if shards >= 2 {
-		spec.Parallel = shards
-	}
-	res, err := c.Query(spec)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Results: res.Results, Stats: res.Stats}, nil
-}
-
 // Progressive is an incremental search whose steps the caller drives,
 // with the shrinking candidate set inspectable in between.
 type Progressive = core.Progressive
@@ -919,46 +881,6 @@ func (c *Collection) SearchProgressive(q []float64, opts Options) (*Progressive,
 		return nil, err
 	}
 	return core.NewProgressiveSegments(views, q, opts)
-}
-
-// SearchCompressed runs the filter step on 8-bit fragments and refines on
-// the exact columns. Sealed segments filter on their codes — built lazily
-// once per segment when that segment is first actually searched (skipped
-// segments are never quantized), and never invalidated by appends; the
-// active segment runs an exact scan. Criteria Hq and Eq.
-//
-// Deprecated: use Query with StrategyCompressed (or StrategyAuto, which
-// picks the compressed path only where the cost model favors it).
-func (c *Collection) SearchCompressed(q []float64, opts Options) (CompressedResult, error) {
-	spec := plan.SpecFromOptions(q, opts)
-	spec.Strategy = StrategyCompressed
-	res, err := c.Query(spec)
-	if err != nil {
-		return CompressedResult{}, err
-	}
-	return res.Compressed, nil
-}
-
-// SearchMIL runs BOND (criterion Hq) through the MIL relational-operator
-// engine — the Section 6.1 reference implementation — per segment, with
-// the per-segment answers merged exactly.
-//
-// Deprecated: use Query with StrategyMIL.
-func (c *Collection) SearchMIL(q []float64, opts MILOptions) (Result, error) {
-	spec := QuerySpec{
-		Query:        q,
-		K:            opts.K,
-		Criterion:    core.Hq,
-		Step:         opts.Step,
-		BitmapSwitch: opts.BitmapSwitch,
-		Exclude:      opts.Exclude,
-		Strategy:     StrategyMIL,
-	}
-	res, err := c.Query(spec)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Results: res.Results, Stats: res.Stats}, nil
 }
 
 // AsFeature wraps a snapshot of the collection as one component of a

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"bond/internal/core"
 	"bond/internal/dataset"
 	"bond/internal/seqscan"
 )
@@ -18,7 +19,7 @@ func testCollection(t *testing.T) ([][]float64, *Collection) {
 func TestFacadeSearchMatchesScan(t *testing.T) {
 	vs, col := testCollection(t)
 	q := vs[10]
-	res, err := col.Search(q, Options{K: 5, Criterion: Hq})
+	res, err := col.Query(QuerySpec{Query: q, K: 5, Criterion: Hq, Strategy: StrategyBOND})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +68,11 @@ func TestFacadeSaveOpenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := vs[5]
-	a, err := col.Search(q, Options{K: 3, Criterion: Ev})
+	a, err := col.Query(QuerySpec{Query: q, K: 3, Criterion: Ev, Strategy: StrategyBOND})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := got.Search(q, Options{K: 3, Criterion: Ev})
+	b, err := got.Query(QuerySpec{Query: q, K: 3, Criterion: Ev, Strategy: StrategyBOND})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +86,13 @@ func TestFacadeSaveOpenRoundTrip(t *testing.T) {
 func TestFacadeCompressedLazyBuildAndInvalidation(t *testing.T) {
 	vs, col := testCollection(t)
 	q := vs[7]
-	a, err := col.SearchCompressed(q, Options{K: 5, Criterion: Hq})
+	a, err := col.Query(QuerySpec{Query: q, K: 5, Criterion: Hq, Strategy: StrategyCompressed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Adding a vector invalidates the codes; a repeat search must see it.
 	col.Add(q)
-	b, err := col.SearchCompressed(q, Options{K: 1, Criterion: Hq})
+	b, err := col.Query(QuerySpec{Query: q, K: 1, Criterion: Hq, Strategy: StrategyCompressed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,19 +101,28 @@ func TestFacadeCompressedLazyBuildAndInvalidation(t *testing.T) {
 	}
 }
 
+// TestFacadeMILAndExclusion checks that every strategy honours an
+// exclusion bitmap, and that MIL — the paper's Section 6.1 reference
+// engine — is no query strategy: the facade rejects its name, while the
+// engine itself still answers over the collection's columns.
 func TestFacadeMILAndExclusion(t *testing.T) {
 	vs, col := testCollection(t)
 	q := vs[0]
 	excl := col.NewExclusion()
 	excl.Set(0)
-	res, err := col.Search(q, Options{K: 1, Criterion: Hq, Exclude: excl})
-	if err != nil {
-		t.Fatal(err)
+	for _, strat := range []Strategy{StrategyAuto, StrategyBOND, StrategyCompressed, StrategyVAFile, StrategyExact} {
+		res, err := col.Query(QuerySpec{Query: q, K: 1, Criterion: Hq, Exclude: excl, Strategy: strat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Results[0].ID == 0 {
+			t.Errorf("%v: excluded id returned", strat)
+		}
 	}
-	if res.Results[0].ID == 0 {
-		t.Error("excluded id returned")
+	if _, err := ParseStrategy("mil"); err == nil {
+		t.Error(`ParseStrategy("mil") accepted`)
 	}
-	mil, err := col.SearchMIL(q, MILOptions{K: 1})
+	mil, err := core.SearchMIL(col.store.Flatten(), q, core.MILOptions{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +152,7 @@ func TestFacadeWeightedAndSubspace(t *testing.T) {
 	vs, col := testCollection(t)
 	q := vs[9]
 	w := dataset.WeightsZipf(32, 2, 7)
-	res, err := col.Search(q, Options{K: 4, Criterion: Ev, Weights: w})
+	res, err := col.Query(QuerySpec{Query: q, K: 4, Criterion: Ev, Weights: w, Strategy: StrategyBOND})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +163,7 @@ func TestFacadeWeightedAndSubspace(t *testing.T) {
 			t.Errorf("weighted rank %d: id %d, want %d", i, res.Results[i].ID, want[i].ID)
 		}
 	}
-	sub, err := col.Search(q, Options{K: 4, Criterion: Ev, Dims: []int{0, 5, 9}})
+	sub, err := col.Query(QuerySpec{Query: q, K: 4, Criterion: Ev, Dims: []int{0, 5, 9}, Strategy: StrategyBOND})
 	if err != nil {
 		t.Fatal(err)
 	}

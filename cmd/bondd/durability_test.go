@@ -61,10 +61,12 @@ func startBondd(t *testing.T, bin, addr, dataDir string) *exec.Cmd {
 		"-fsync", "always",
 		"-segment-size", "32",
 		// Aggressive checkpointing so some kills land mid-checkpoint;
-		// compaction off so ids stay stable for readback-by-id.
+		// compaction and re-clustering off so ids stay stable for
+		// readback-by-id (both renumber ids; see ARCHITECTURE.md).
 		"-maintenance-interval", "150ms",
 		"-wal-max-bytes", "1",
 		"-compact-ratio", "-1",
+		"-recluster-spread", "-1",
 		"-quiet",
 	)
 	cmd.Stdout = os.Stderr
@@ -113,7 +115,9 @@ func TestSIGKILLLosesNoAcknowledgedWrite(t *testing.T) {
 	}
 	bin := buildBondd(t)
 	dataDir := t.TempDir()
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
+	seed := time.Now().UnixNano()
+	t.Logf("seed %d", seed)
+	rng := rand.New(rand.NewSource(seed))
 
 	addr := freeAddr(t)
 	child := startBondd(t, bin, addr, dataDir)
@@ -186,7 +190,7 @@ func TestSIGKILLLosesNoAcknowledgedWrite(t *testing.T) {
 
 	// Every acknowledged ingest AND delete must have survived: the slot
 	// count covers the ingests, the live count the tombstones (ids are
-	// stable because compaction is off), and the per-id readback below
+	// stable because compaction and re-clustering are off), and the per-id readback below
 	// the bytes. Tombstoned vectors stay readable by id (tombstones hide
 	// them from search, not from positional access).
 	resp2, err := http.Get("http://" + addr2 + "/collections/c")

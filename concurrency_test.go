@@ -75,15 +75,15 @@ func TestConcurrentSearchExactAgainstOracle(t *testing.T) {
 	// order, so it gets its own oracle.
 	oracleHq, _ := seqscan.SearchHistogram(stable, q, stressK)
 	oracleEv, _ := seqscan.SearchEuclidean(stable, q, stressK)
-	searchHq, err := col.Search(q, Options{K: stressK, Criterion: Hq})
+	searchHq, err := col.Query(QuerySpec{Query: q, K: stressK, Criterion: Hq, Strategy: StrategyBOND})
 	if err != nil {
 		t.Fatal(err)
 	}
-	searchEv, err := col.Search(q, Options{K: stressK, Criterion: Ev})
+	searchEv, err := col.Query(QuerySpec{Query: q, K: stressK, Criterion: Ev, Strategy: StrategyBOND})
 	if err != nil {
 		t.Fatal(err)
 	}
-	compressedHq, err := col.SearchCompressed(q, Options{K: stressK, Criterion: Hq})
+	compressedHq, err := col.Query(QuerySpec{Query: q, K: stressK, Criterion: Hq, Strategy: StrategyCompressed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,36 +129,36 @@ func TestConcurrentSearchExactAgainstOracle(t *testing.T) {
 
 	// Searchers: plain, parallel, compressed, progressive.
 	run(func(i int) {
-		res, err := col.Search(q, Options{K: stressK, Criterion: Hq})
+		res, err := col.Query(QuerySpec{Query: q, K: stressK, Criterion: Hq, Strategy: StrategyBOND})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		check(t, "Search/Hq", res.Results, searchHq.Results)
+		check(t, "bond/Hq", res.Results, searchHq.Results)
 	})
 	run(func(i int) {
-		res, err := col.Search(q, Options{K: stressK, Criterion: Ev})
+		res, err := col.Query(QuerySpec{Query: q, K: stressK, Criterion: Ev, Strategy: StrategyBOND})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		check(t, "Search/Ev", res.Results, searchEv.Results)
+		check(t, "bond/Ev", res.Results, searchEv.Results)
 	})
 	run(func(i int) {
-		res, err := col.SearchParallel(q, Options{K: stressK, Criterion: Hq}, 4)
+		res, err := col.Query(QuerySpec{Query: q, K: stressK, Criterion: Hq, Strategy: StrategyBOND, Parallel: 4})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		check(t, "SearchParallel/Hq", res.Results, searchHq.Results)
+		check(t, "bond-parallel/Hq", res.Results, searchHq.Results)
 	})
 	run(func(i int) {
-		res, err := col.SearchCompressed(q, Options{K: stressK, Criterion: Hq})
+		res, err := col.Query(QuerySpec{Query: q, K: stressK, Criterion: Hq, Strategy: StrategyCompressed})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		check(t, "SearchCompressed/Hq", res.Results, compressedHq.Results)
+		check(t, "compressed/Hq", res.Results, compressedHq.Results)
 	})
 	run(func(i int) {
 		p, err := col.SearchProgressive(q, Options{K: stressK, Criterion: Ev, Step: 3})
@@ -195,11 +195,11 @@ func TestConcurrentSearchExactAgainstOracle(t *testing.T) {
 
 	// After the dust settles the stable answer is unchanged, and the
 	// stable prefix was never remapped.
-	res, err := col.Search(q, Options{K: stressK, Criterion: Hq})
+	res, err := col.Query(QuerySpec{Query: q, K: stressK, Criterion: Hq, Strategy: StrategyBOND})
 	if err != nil {
 		t.Fatal(err)
 	}
-	check(t, "post-stress Search/Hq", res.Results, searchHq.Results)
+	check(t, "post-stress bond/Hq", res.Results, searchHq.Results)
 	for i, v := range stable[:5] {
 		got := col.Vector(i)
 		for d := range v {

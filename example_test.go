@@ -18,10 +18,10 @@ func fourHistograms() [][]float64 {
 }
 
 // The basic flow: decompose a collection, search by example.
-func ExampleCollection_Search() {
+func ExampleCollection_Query() {
 	col := bond.NewCollection(fourHistograms())
 	query := []float64{0.7, 0.15, 0.1, 0.05}
-	res, err := col.Search(query, bond.Options{K: 2, Criterion: bond.Hq})
+	res, err := col.Query(bond.QuerySpec{Query: query, K: 2, Criterion: bond.Hq})
 	if err != nil {
 		panic(err)
 	}
@@ -34,10 +34,10 @@ func ExampleCollection_Search() {
 }
 
 // Euclidean search on the same single data representation.
-func ExampleCollection_Search_euclidean() {
+func ExampleCollection_Query_euclidean() {
 	col := bond.NewCollection(fourHistograms())
 	query := []float64{0.8, 0.1, 0.05, 0.05} // h3 itself
-	res, err := col.Search(query, bond.Options{K: 1, Criterion: bond.Ev})
+	res, err := col.Query(bond.QuerySpec{Query: query, K: 1, Criterion: bond.Ev})
 	if err != nil {
 		panic(err)
 	}
@@ -48,11 +48,11 @@ func ExampleCollection_Search_euclidean() {
 
 // A weighted query emphasizes chosen dimensions (Definition 3); zero
 // weights exclude dimensions entirely (subspace search, Section 8.1).
-func ExampleCollection_Search_weighted() {
+func ExampleCollection_Query_weighted() {
 	col := bond.NewCollection(fourHistograms())
 	query := []float64{0.0, 0.2, 0.9, 0.0}
 	weights := []float64{0, 1, 4, 0} // only dims 1–2 matter, dim 2 most
-	res, err := col.Search(query, bond.Options{K: 1, Criterion: bond.Ev, Weights: weights})
+	res, err := col.Query(bond.QuerySpec{Query: query, K: 1, Criterion: bond.Ev, Weights: weights})
 	if err != nil {
 		panic(err)
 	}

@@ -19,8 +19,10 @@ func main() {
 	col := bond.NewCollection(vectors)
 
 	// Query by example: find the 10 histograms most similar to vector 123.
+	// StrategyBOND pins plain BOND so the work report below shows its
+	// pruning; the default StrategyAuto picks an access path per segment.
 	query := col.Vector(123)
-	res, err := col.Search(query, bond.Options{K: 10, Criterion: bond.Hq})
+	res, err := col.Query(bond.QuerySpec{Query: query, K: 10, Criterion: bond.Hq, Strategy: bond.StrategyBOND})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func main() {
 	}
 
 	// The same collection answers Euclidean queries too.
-	resE, err := col.Search(query, bond.Options{K: 3, Criterion: bond.Ev})
+	resE, err := col.Query(bond.QuerySpec{Query: query, K: 3, Criterion: bond.Ev})
 	if err != nil {
 		log.Fatal(err)
 	}

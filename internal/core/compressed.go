@@ -85,23 +85,19 @@ func ValidateCompressed(opts Options) error {
 	return validateCompressed(opts)
 }
 
-// SearchCompressedOne runs filter-and-refine on a single segment without
-// re-validating (callers validate once via ValidateSegments plus
-// ValidateCompressed). empty is true when no candidate was eligible.
-func SearchCompressedOne(src Source, qs *vstore.QuantStore, q []float64, opts Options) (CompressedResult, bool) {
-	return SearchCompressedOneScratch(src, qs, q, opts, nil)
-}
-
-// SearchCompressedOneScratch is SearchCompressedOne running on pooled
-// scratch buffers (nil allocates privately). The result list aliases the
-// scratch and is valid until its next search.
+// SearchCompressedOneScratch runs filter-and-refine on a single segment
+// without re-validating (callers validate once via ValidateSegments plus
+// ValidateCompressed), on pooled scratch buffers (nil allocates
+// privately). empty is true when no candidate was eligible. The result
+// list aliases the scratch and is valid until its next search.
 func SearchCompressedOneScratch(src Source, qs *vstore.QuantStore, q []float64, opts Options, sc *Scratch) (CompressedResult, bool) {
 	f := &compressedFilter{s: src, qs: qs, q: q, opts: opts, sc: sc}
 	f.init()
 	if len(f.cands) == 0 {
 		return CompressedResult{}, true
 	}
-	return f.refineRun(), false
+	f.run()
+	return f.refine(), false
 }
 
 type compressedFilter struct {

@@ -41,16 +41,6 @@ var ErrMILOptions = errors.New("core: invalid MIL options")
 // implementation of uselect and the later ones the positional-join
 // reduction. Results are identical to Search with criterion Hq.
 func SearchMIL(s Source, q []float64, opts MILOptions) (Result, error) {
-	return SearchMILScratch(s, q, opts, nil)
-}
-
-// SearchMILScratch is SearchMIL running the operator pipeline on pooled
-// buffers (nil allocates privately): the score column, candidate bitmap,
-// uselect result, and the positional-phase id/score columns are all reused
-// — operator-at-a-time execution with recycled BAT heaps, as MonetDB
-// itself keeps intermediate heaps around. The result list aliases the
-// scratch and is valid until its next search.
-func SearchMILScratch(s Source, q []float64, opts MILOptions, sc *Scratch) (Result, error) {
 	if opts.K < 1 {
 		return Result{}, ErrMILOptions
 	}
@@ -69,9 +59,17 @@ func SearchMILScratch(s Source, q []float64, opts MILOptions, sc *Scratch) (Resu
 	if opts.BitmapSwitch < 0 || opts.BitmapSwitch > 1 {
 		return Result{}, ErrMILOptions
 	}
-	if sc == nil {
-		sc = &Scratch{}
-	}
+	// Operator-at-a-time execution over private columns: the full-length
+	// score column, the candidate bitmap and the uselect result, ping-pong
+	// id/score columns for the positional phase, and the per-column gather
+	// target. The shared Scratch contributes only the order, step log and
+	// heaps.
+	sc := &Scratch{}
+	var (
+		sel                 *bitmap.Bitmap
+		ids, ids2           []int
+		vals, vals2, gather []float64
+	)
 
 	n := s.Len()
 	sc.order = buildOrderInto(grow(sc.order, s.Dims()), q, nil, nil, OrderQueryDesc, 0, false)
@@ -79,11 +77,7 @@ func SearchMILScratch(s Source, q []float64, opts MILOptions, sc *Scratch) (Resu
 
 	// The bitmap doubles as delete-mark carrier and predicate filter
 	// (Sections 6.1–6.2): start from live ∧ ¬excluded.
-	if sc.milBM == nil {
-		sc.milBM = bitmap.New(0)
-	}
-	bm := sc.milBM
-	bm.Reuse(n)
+	bm := bitmap.New(n)
 	bm.SetAll()
 	bm.AndNot(deletedOf(s))
 	if opts.Exclude != nil {
@@ -119,8 +113,7 @@ func SearchMILScratch(s Source, q []float64, opts MILOptions, sc *Scratch) (Resu
 	}
 
 	// --- Bitmap phase: scores kept full-length, candidates as set bits. ---
-	sc.milScore = zeroed(sc.milScore, n)
-	smin := bat.NewFloatVoid(0, sc.milScore)
+	smin := bat.NewFloatVoid(0, make([]float64, n))
 	var (
 		candIDs    []int     // materialized candidates (nil while in bitmap phase)
 		candScores []float64 // scores aligned with candIDs
@@ -144,10 +137,10 @@ func SearchMILScratch(s Source, q []float64, opts MILOptions, sc *Scratch) (Resu
 			} else {
 				// Hi reduced to the candidate set by a positional join into
 				// the recycled gather column, then [min] and [+] in place.
-				sc.milGather = grow(sc.milGather, len(candIDs))[:len(candIDs)]
-				bat.JoinFloatInto(sc.milGather, &bat.OID{Tail: candIDs}, hi)
-				bat.MapMinConstInto(sc.milGather, sc.milGather, qd)
-				bat.AddInto(&bat.Float{Tail: candScores}, &bat.Float{Tail: sc.milGather})
+				gather = grow(gather, len(candIDs))[:len(candIDs)]
+				bat.JoinFloatInto(gather, &bat.OID{Tail: candIDs}, hi)
+				bat.MapMinConstInto(gather, gather, qd)
+				bat.AddInto(&bat.Float{Tail: candScores}, &bat.Float{Tail: gather})
 				stats.ValuesScanned += int64(len(candIDs))
 			}
 			processedQ += qd
@@ -176,23 +169,23 @@ func SearchMILScratch(s Source, q []float64, opts MILOptions, sc *Scratch) (Resu
 
 		if candIDs == nil {
 			// kfetch over the candidate scores, then bitmap uselect.
-			sc.milVals = bat.SelectFloatInto(grow(sc.milVals, bm.Count()), smin, bm)
-			sk := topk.KthLargestWith(sc.kthHeap(), sc.milVals, k)
+			vals = bat.SelectFloatInto(grow(vals, bm.Count()), smin, bm)
+			sk := topk.KthLargestWith(sc.kthHeap(), vals, k)
 			maxbound := sk - tq
-			if sc.milSel == nil {
-				sc.milSel = bitmap.New(0)
+			if sel == nil {
+				sel = bitmap.New(n)
 			}
-			sc.milSel.Reuse(n)
-			bat.USelectBitmapInto(sc.milSel, smin, maxbound, math.Inf(1))
-			bm.And(sc.milSel)
+			sel.Reuse(n)
+			bat.USelectBitmapInto(sel, smin, maxbound, math.Inf(1))
+			bm.And(sel)
 			stat.Candidates = bm.Count()
 			stat.Pruned = count - stat.Candidates
 			// Switch to positional joins once selectivity is high enough.
 			if float64(bm.Count()) < opts.BitmapSwitch*float64(n) {
-				sc.milIDs = bm.AppendSlice(grow(sc.milIDs, bm.Count()))
-				candIDs = sc.milIDs
-				sc.milVals = bat.SelectFloatInto(grow(sc.milVals, len(candIDs)), smin, bm)
-				candScores = sc.milVals
+				ids = bm.AppendSlice(grow(ids, bm.Count()))
+				candIDs = ids
+				vals = bat.SelectFloatInto(grow(vals, len(candIDs)), smin, bm)
+				candScores = vals
 			}
 		} else {
 			sk := topk.KthLargestWith(sc.kthHeap(), candScores, k)
@@ -200,18 +193,18 @@ func SearchMILScratch(s Source, q []float64, opts MILOptions, sc *Scratch) (Resu
 			// uselect over the candidate scores yields positions into the
 			// candidate array (void heads); gather the surviving ids and
 			// scores into the ping-pong buffers.
-			sel := bat.USelectInto(grow(sc.milIDs2, len(candIDs)),
+			pos := bat.USelectInto(grow(ids2, len(candIDs)),
 				&bat.Float{Tail: candScores}, maxbound, math.Inf(1))
-			sc.milIDs2 = sel
-			newScores := grow(sc.milVals2, len(sel))[:len(sel)]
-			sc.milVals2 = newScores
-			for i, pos := range sel {
-				newScores[i] = candScores[pos]
-				sel[i] = candIDs[pos]
+			ids2 = pos
+			newScores := grow(vals2, len(pos))[:len(pos)]
+			vals2 = newScores
+			for i, p := range pos {
+				newScores[i] = candScores[p]
+				pos[i] = candIDs[p]
 			}
-			sc.milIDs, sc.milIDs2 = sc.milIDs2, sc.milIDs
-			sc.milVals, sc.milVals2 = sc.milVals2, sc.milVals
-			candIDs, candScores = sel, newScores
+			ids, ids2 = ids2, ids
+			vals, vals2 = vals2, vals
+			candIDs, candScores = pos, newScores
 			stat.Candidates = len(candIDs)
 			stat.Pruned = count - stat.Candidates
 		}

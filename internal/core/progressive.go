@@ -38,7 +38,7 @@ func NewProgressive(s Source, q []float64, opts Options) (*Progressive, error) {
 // NewProgressiveSegments prepares an incremental search over a segmented
 // collection. Segment skipping does not apply — every segment stays
 // inspectable until the caller finishes — but results are identical to
-// SearchSegments.
+// a flat Search over the concatenated segments.
 func NewProgressiveSegments(views []SegmentView, q []float64, opts Options) (*Progressive, error) {
 	m, err := aggregateViews(views)
 	if err != nil {
@@ -57,7 +57,7 @@ func newProgressive(views []SegmentView, q []float64, opts Options) (*Progressiv
 			continue
 		}
 		vopts := opts
-		vopts.Exclude = localExclude(opts.Exclude, v.Base, v.Src.Len())
+		vopts.Exclude = LocalExclude(opts.Exclude, v.Base, v.Src.Len())
 		e, err := newEngine(v.Src, q, vopts, nil)
 		if err == ErrNoCandidates {
 			continue

@@ -3,74 +3,7 @@ package core
 import (
 	"errors"
 	"testing"
-
-	"bond/internal/bitmap"
-	"bond/internal/dataset"
-	"bond/internal/seqscan"
-	"bond/internal/vstore"
 )
-
-func TestSearchParallelMatchesSerial(t *testing.T) {
-	vs, store := corel(t)
-	queries, _ := dataset.SampleQueries(vs, 4, 71)
-	for _, shards := range []int{1, 2, 3, 7} {
-		for _, crit := range []Criterion{Hq, Ev} {
-			for _, q := range queries {
-				par, err := SearchParallel(store, q, Options{K: 10, Criterion: crit}, shards)
-				if err != nil {
-					t.Fatalf("shards=%d %v: %v", shards, crit, err)
-				}
-				ser, err := Search(store, q, Options{K: 10, Criterion: crit})
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameResults(t, crit.String(), par.Results, ser.Results)
-			}
-		}
-	}
-}
-
-func TestSearchParallelMoreShardsThanVectors(t *testing.T) {
-	vs := dataset.CorelLike(5, 8, 1)
-	store := vstore.FromVectors(vs)
-	res, err := SearchParallel(store, vs[0], Options{K: 3, Criterion: Hq}, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := seqscan.SearchHistogram(vs, vs[0], 3)
-	sameResults(t, "tiny", res.Results, want)
-}
-
-func TestSearchParallelRespectsExclude(t *testing.T) {
-	vs := dataset.CorelLike(100, 16, 2)
-	store := vstore.FromVectors(vs)
-	excl := bitmap.New(100)
-	excl.Set(0)
-	res, err := SearchParallel(store, vs[0], Options{K: 1, Criterion: Hq, Exclude: excl}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Results[0].ID == 0 {
-		t.Error("excluded id returned by parallel search")
-	}
-}
-
-func TestSearchParallelAllExcluded(t *testing.T) {
-	vs := dataset.CorelLike(10, 8, 3)
-	store := vstore.FromVectors(vs)
-	excl := bitmap.NewFull(10)
-	if _, err := SearchParallel(store, vs[0], Options{K: 1, Criterion: Hq, Exclude: excl}, 4); !errors.Is(err, ErrNoCandidates) {
-		t.Errorf("err = %v, want ErrNoCandidates", err)
-	}
-}
-
-func TestSearchParallelBadOptions(t *testing.T) {
-	vs := dataset.CorelLike(10, 8, 3)
-	store := vstore.FromVectors(vs)
-	if _, err := SearchParallel(store, vs[0], Options{K: 0, Criterion: Hq}, 4); !errors.Is(err, ErrBadK) {
-		t.Errorf("err = %v, want ErrBadK", err)
-	}
-}
 
 func TestProgressiveMatchesSearch(t *testing.T) {
 	vs, store := corel(t)

@@ -8,10 +8,10 @@ import (
 
 // Scratch holds every reusable buffer one search needs: candidate ids,
 // partial scores and tails, pruning staging, tail-bound state, kfetch and
-// ranking heaps, and the MIL engine's operator buffers. One Scratch serves
-// one search at a time; the query executor keeps a small per-collection
-// free list and runs each segment's step through the same Scratch, so a
-// steady-state query allocates nothing in the engine layer.
+// ranking heaps. One Scratch serves one search at a time; the query
+// executor keeps a small per-collection free list and runs each segment's
+// step through the same Scratch, so a steady-state query allocates
+// nothing in the engine layer.
 //
 // A nil *Scratch is accepted by every entry point that takes one and means
 // "allocate privately" — the behavior of the legacy entry points.
@@ -33,7 +33,7 @@ type Scratch struct {
 	keep    []bool
 	qtail   []float64
 	wtail   []float64
-	steps   []StepStat    // pruning-step log backing (engine, filter, MIL)
+	steps   []StepStat    // pruning-step log backing (engine, filter)
 	results []topk.Result // per-segment result staging
 
 	kth *topk.Heap // kfetch heap (κ selection inside pruning steps)
@@ -44,18 +44,6 @@ type Scratch struct {
 
 	// Compressed-filter score intervals.
 	sLo, sHi []float64
-
-	// MIL operator buffers: the full-length score column, the candidate
-	// bitmap and the uselect result bitmap, ping-pong id/score columns for
-	// the positional phase, and the per-column gather target.
-	milScore  []float64
-	milBM     *bitmap.Bitmap
-	milSel    *bitmap.Bitmap
-	milIDs    []int
-	milIDs2   []int
-	milVals   []float64
-	milVals2  []float64
-	milGather []float64
 }
 
 // grow returns s with length 0 and capacity at least n, reusing the

@@ -12,9 +12,9 @@ import (
 // the smaller vector id, exactly as in the sequential-scan baselines, so
 // BOND and a full scan always return identical answer sets.
 //
-// For a segmented collection, use SearchSegments instead: it runs this
-// engine per segment and additionally skips whole segments via their
-// synopses.
+// A segmented collection runs this engine per segment through the query
+// executor of package plan, which additionally skips whole segments via
+// their synopses.
 func Search(s Source, q []float64, opts Options) (Result, error) {
 	if err := opts.validate(s, q); err != nil {
 		return Result{}, err

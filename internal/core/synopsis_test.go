@@ -7,6 +7,16 @@ import (
 	"bond/internal/vstore"
 )
 
+// viewsOf exposes a segmented store to the search layer, synopses included.
+func viewsOf(s *vstore.SegStore) []SegmentView {
+	segs, bases := s.Segments(), s.Bases()
+	views := make([]SegmentView, len(segs))
+	for i := range segs {
+		views[i] = SegmentView{Src: segs[i], Base: bases[i], DimRange: segs[i].DimRange}
+	}
+	return views
+}
+
 func TestSynopsisSpreadShuffledVsContiguous(t *testing.T) {
 	// Two layouts over the same coefficients: interleaved (every segment
 	// spans the whole extent) and grouped (each segment covers one band).

@@ -13,8 +13,8 @@ import (
 
 // Result is a completed planned query. Results and Stats are the merged
 // exact answer and work statistics; Compressed carries the
-// filter-and-refine counters the legacy compressed entry point reports
-// (populated whenever compressed, VA-File, or exact-scan steps ran).
+// filter-and-refine counters (populated whenever compressed, VA-File, or
+// exact-scan steps ran).
 type Result struct {
 	Results []topk.Result
 	Stats   core.Stats
@@ -34,7 +34,7 @@ type stepOutcome struct {
 	empty bool
 	err   error
 
-	bondStats    core.Stats            // PathBOND, PathMIL
+	bondStats    core.Stats            // PathBOND
 	comp         core.CompressedResult // PathCompressed
 	exactScanned int64                 // PathExact
 	vaCodes      int64                 // PathVAFile
@@ -76,8 +76,7 @@ type parOutcome struct {
 // global top-k, feeding observed costs back into the plan's model. The
 // parallel fan-out group runs first (concurrently); the sequential tail
 // then runs best-bound-first with synopsis skipping against the running
-// κ, exactly as the legacy segmented search did, so forced-strategy plans
-// return byte-identical results and statistics.
+// κ, so every strategy returns the same exact top-k.
 func Execute(p *Plan) (Result, error) {
 	sc := p.model.acquireScratch()
 	defer p.model.releaseScratch(sc)
@@ -112,7 +111,7 @@ func (p *Plan) execute(sc *execScratch) (Result, error) {
 		folded++
 		p.feedback(st, out, elapsed)
 		switch st.Path {
-		case PathBOND, PathMIL:
+		case PathBOND:
 			res.Stats.SegmentsSearched++
 			mergeCounters(&res.Stats, out.bondStats)
 			sc.steps = appendSteps(sc.steps, out.bondStats.Steps, st.Segment)
@@ -338,24 +337,6 @@ func (p *Plan) runStep(st *Step, sc *execScratch) stepOutcome {
 		st.ActualCost = float64(scanned)
 		st.Candidates = len(rs)
 		return stepOutcome{rs: core.RebaseInPlace(rs, st.Base), exactScanned: scanned}
-
-	case PathMIL:
-		milOpts := core.MILOptions{
-			K:            p.Spec.K,
-			Step:         p.Spec.Step,
-			BitmapSwitch: p.Spec.BitmapSwitch,
-			Exclude:      vopts.Exclude,
-		}
-		r, err := core.SearchMILScratch(src, p.Spec.Query, milOpts, &sc.core)
-		if err == core.ErrNoCandidates {
-			return stepOutcome{empty: true}
-		}
-		if err != nil {
-			return stepOutcome{err: err}
-		}
-		st.ActualCost = float64(r.Stats.ValuesScanned)
-		st.Candidates = r.Stats.FinalCandidates
-		return stepOutcome{rs: core.RebaseInPlace(r.Results, st.Base), bondStats: r.Stats}
 	}
 	return stepOutcome{err: fmt.Errorf("plan: unknown path %v", st.Path)}
 }

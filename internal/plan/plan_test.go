@@ -105,7 +105,6 @@ func TestForcedStrategyPaths(t *testing.T) {
 		{ForceCompressed, PathCompressed, PathExact},
 		{ForceVAFile, PathVAFile, PathExact},
 		{ForceExact, PathExact, PathExact},
-		{ForceMIL, PathMIL, PathMIL},
 	}
 	for _, tc := range cases {
 		p, err := New(segs, Spec{Query: q, K: 3, Strategy: tc.strat}, nil)
@@ -138,8 +137,23 @@ func TestCompressedStrategyRejectsUnsupportedOptions(t *testing.T) {
 	if _, err := New(segmentsOf(s), Spec{Query: q, K: 3, Strategy: ForceVAFile, Criterion: core.Hh}, nil); err == nil {
 		t.Fatal("Hh VA-File plan should be rejected")
 	}
-	if _, err := New(segmentsOf(s), Spec{Query: q, K: 3, Strategy: ForceMIL, Criterion: core.Eq}, nil); err == nil {
-		t.Fatal("Eq MIL plan should be rejected")
+}
+
+// TestParseStrategy checks that every strategy round-trips through its
+// CLI name and that "mil" — the paper's Section 6.1 reference engine,
+// which is a test oracle in package core rather than an access path — is
+// rejected.
+func TestParseStrategy(t *testing.T) {
+	for _, s := range []Strategy{Auto, ForceBOND, ForceCompressed, ForceVAFile, ForceExact} {
+		got, err := ParseStrategy(s.String())
+		if err != nil || got != s {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+	for _, name := range []string{"mil", "MIL", "bogus"} {
+		if _, err := ParseStrategy(name); err == nil {
+			t.Errorf("ParseStrategy(%q) accepted", name)
+		}
 	}
 }
 
@@ -182,11 +196,8 @@ func TestExecuteMatchesExactScan(t *testing.T) {
 	s := clusterContiguous(5, 120, 10, 4)
 	segs := segmentsOf(s)
 	q := s.Row(37)
-	for _, strat := range []Strategy{Auto, ForceBOND, ForceCompressed, ForceVAFile, ForceExact, ForceMIL} {
+	for _, strat := range []Strategy{Auto, ForceBOND, ForceCompressed, ForceVAFile, ForceExact} {
 		for _, crit := range []core.Criterion{core.Hq, core.Eq} {
-			if strat == ForceMIL && crit != core.Hq {
-				continue
-			}
 			oracle, err := New(segs, Spec{Query: q, K: 7, Criterion: crit, Strategy: ForceExact}, nil)
 			if err != nil {
 				t.Fatal(err)

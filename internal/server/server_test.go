@@ -119,7 +119,7 @@ func TestEndToEndByteIdentical(t *testing.T) {
 		criterion string
 		strategy  string
 	}{
-		{"Hq", "auto"}, {"Hq", "bond"}, {"Hq", "vafile"}, {"Hq", "exact"}, {"Hq", "mil"},
+		{"Hq", "auto"}, {"Hq", "bond"}, {"Hq", "vafile"}, {"Hq", "exact"},
 		{"Eq", "auto"}, {"Eq", "compressed"}, {"Ev", "bond"}, {"Hh", "bond"},
 	} {
 		t.Run(tc.criterion+"/"+tc.strategy, func(t *testing.T) {
@@ -188,6 +188,27 @@ func TestQueryByExample(t *testing.T) {
 	for i := range byID.Results {
 		if byID.Results[i] != byVec.Results[i] {
 			t.Fatalf("rank %d: by-id %+v != by-vector %+v", i, byID.Results[i], byVec.Results[i])
+		}
+	}
+}
+
+// TestQueryRejectsUnknownStrategy checks that a strategy the planner does
+// not offer — "mil" included, the paper's Section 6.1 reference engine,
+// which is no query path — is a 400, on the single and the batch
+// endpoint alike.
+func TestQueryRejectsUnknownStrategy(t *testing.T) {
+	vectors := dataset.CorelLike(50, 8, 5)
+	_, ts := newTestServer(t, Config{})
+	doJSON(t, http.MethodPut, ts.URL+"/collections/c", createRequest{Dims: 8}, nil)
+	ingestBatch(t, ts.URL, "c", vectors)
+	for _, strategy := range []string{"mil", "bogus"} {
+		spec := querySpecWire{Query: vectors[0], K: 3, Strategy: strategy}
+		if code := doJSON(t, http.MethodPost, ts.URL+"/collections/c/query", spec, nil); code != http.StatusBadRequest {
+			t.Errorf("query strategy %q: status %d, want 400", strategy, code)
+		}
+		if code := doJSON(t, http.MethodPost, ts.URL+"/collections/c/query/batch",
+			batchRequest{Queries: []querySpecWire{spec}}, nil); code != http.StatusBadRequest {
+			t.Errorf("batch strategy %q: status %d, want 400", strategy, code)
 		}
 	}
 }

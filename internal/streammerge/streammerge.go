@@ -26,6 +26,7 @@ import (
 
 	"bond/internal/core"
 	"bond/internal/multifeature"
+	"bond/internal/plan"
 	"bond/internal/topk"
 )
 
@@ -123,9 +124,10 @@ func runOnce(features []multifeature.Feature, k, kprime int, agg multifeature.Ag
 	weights := make([]float64, len(features))
 	for f, feat := range features {
 		weights[f] = feat.Weight
-		// Per-stream ranking runs segment-aware BOND, so segmented feature
-		// collections stream as cheaply as flat ones.
-		sr, err := core.SearchSegments(feat.Views(), feat.Query, core.Options{K: kprime, Criterion: core.Hq})
+		// Per-stream ranking runs segment-aware BOND through the query
+		// executor, so segmented feature collections stream as cheaply as
+		// flat ones.
+		sr, err := rankStream(feat, kprime)
 		if err != nil {
 			return Result{}, false, fmt.Errorf("streammerge: stream %d: %w", f, err)
 		}
@@ -164,6 +166,17 @@ func runOnce(features []multifeature.Feature, k, kprime int, agg multifeature.Ag
 		satisfied = true
 	}
 	return Result{Results: results, Stats: st}, satisfied, nil
+}
+
+// rankStream returns one feature's top-k′ by plain BOND (criterion Hq)
+// over its segments, with synopsis skipping.
+func rankStream(feat multifeature.Feature, kprime int) (plan.Result, error) {
+	p, err := plan.New(plan.WrapViews(feat.Views()),
+		plan.Spec{Query: feat.Query, K: kprime, Criterion: core.Hq, Strategy: plan.ForceBOND}, nil)
+	if err != nil {
+		return plan.Result{}, err
+	}
+	return plan.Execute(p)
 }
 
 func check(features []multifeature.Feature, k int) error {

@@ -105,13 +105,10 @@ func TestMmapOracleParity(t *testing.T) {
 		q := vectors[rng.Intn(len(vectors))]
 		k := 1 + rng.Intn(12)
 		for _, crit := range []Criterion{Hq, Hh, Eq, Ev} {
-			want := oracleScan(vectors, deleted, q, k, crit.Distance())
+			want := oracleScan(vectors, deleted, q, k, crit.Distance(), nil, nil)
 			strategies := []Strategy{StrategyAuto, StrategyBOND, StrategyExact}
 			if crit == Hq || crit == Eq {
 				strategies = append(strategies, StrategyCompressed, StrategyVAFile)
-			}
-			if crit == Hq {
-				strategies = append(strategies, StrategyMIL)
 			}
 			for _, strat := range strategies {
 				spec := QuerySpec{Query: q, K: k, Criterion: crit, Strategy: strat}
@@ -165,7 +162,6 @@ func TestQueryAllocationBudgetMmap(t *testing.T) {
 	for _, strat := range []Strategy{StrategyAuto, StrategyBOND, StrategyCompressed, StrategyVAFile, StrategyExact} {
 		cases = append(cases, pathCase{strat, Hq}, pathCase{strat, Eq})
 	}
-	cases = append(cases, pathCase{StrategyMIL, Hq})
 
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("%v_%v", tc.crit, tc.strategy), func(t *testing.T) {

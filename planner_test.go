@@ -1,35 +1,46 @@
 package bond
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
+	"bond/internal/core"
 	"bond/internal/topk"
 )
 
 // oracleScan is the sequential-scan oracle of the planner property test:
-// exact scores over the live vectors, ranked with the same
-// score-then-id tie-break every engine path uses.
-func oracleScan(vectors [][]float64, deleted map[int]bool, q []float64, k int, dist bool) []topk.Result {
+// exact scores over the live vectors, restricted to dims when set and
+// scaled by weights when set, ranked with the same score-then-id
+// tie-break every engine path uses.
+func oracleScan(vectors [][]float64, deleted map[int]bool, q []float64, k int, dist bool, weights []float64, dims []int) []topk.Result {
 	var h *topk.Heap
 	if dist {
 		h = topk.NewSmallest(k)
 	} else {
 		h = topk.NewLargest(k)
 	}
+	if len(dims) == 0 {
+		dims = make([]int, len(q))
+		for d := range dims {
+			dims[d] = d
+		}
+	}
 	for id, v := range vectors {
 		if deleted[id] {
 			continue
 		}
 		s := 0.0
-		for d, x := range v {
+		for _, d := range dims {
+			w := 1.0
+			if len(weights) > 0 {
+				w = weights[d]
+			}
 			if dist {
-				diff := x - q[d]
-				s += diff * diff
-			} else if x < q[d] {
-				s += x
+				diff := v[d] - q[d]
+				s += w * diff * diff
 			} else {
-				s += q[d]
+				s += w * math.Min(v[d], q[d])
 			}
 		}
 		h.Push(id, s)
@@ -54,10 +65,12 @@ func assertMatchesOracle(t *testing.T, label string, got []topk.Result, want []t
 }
 
 // TestPlannerStrategiesMatchOracle is the planner property test: on
-// randomized data, segment layouts, deletions, and queries, every plan
-// the planner can emit — each strategy forced in turn, plus auto and the
-// parallel fan-out — returns results identical to the sequential-scan
-// oracle, as do all six legacy entry points that now delegate to it.
+// randomized data, segment layouts, deletions, and queries — full-space,
+// weighted, and subspace — every plan the planner can emit for the query
+// (each strategy that accepts it forced in turn, plus auto and the
+// parallel fan-out) returns results identical to the sequential-scan
+// oracle, as do SearchProgressive, MultiSearch, and the MIL reference
+// engine.
 func TestPlannerStrategiesMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 6; trial++ {
@@ -114,61 +127,65 @@ func TestPlannerStrategiesMatchOracle(t *testing.T) {
 
 		k := 1 + rng.Intn(12)
 		q := vectors[rng.Intn(len(vectors))]
+		// A weight vector with some zero (dropped) dimensions, and a
+		// random dimensional subspace.
+		weights := make([]float64, dims)
+		for d := range weights {
+			if rng.Intn(5) > 0 {
+				weights[d] = 2 * rng.Float64()
+			}
+		}
+		weights[rng.Intn(dims)] = 1
+		subspace := rng.Perm(dims)[:1+rng.Intn(dims/2)]
 
+		type variant struct {
+			strat    Strategy
+			parallel int
+		}
+		shapes := []struct {
+			name    string
+			weights []float64
+			dims    []int
+		}{{"full", nil, nil}, {"weighted", weights, nil}, {"subspace", nil, subspace}}
 		for _, crit := range []Criterion{Hq, Hh, Eq, Ev} {
-			want := oracleScan(vectors, deleted, q, k, crit.Distance())
-
-			strategies := []Strategy{StrategyAuto, StrategyBOND, StrategyExact}
-			if crit == Hq || crit == Eq {
-				strategies = append(strategies, StrategyCompressed, StrategyVAFile)
-			}
-			if crit == Hq {
-				strategies = append(strategies, StrategyMIL)
-			}
-			for _, strat := range strategies {
-				res, err := col.Query(QuerySpec{Query: q, K: k, Criterion: crit, Strategy: strat})
-				if err != nil {
-					t.Fatalf("trial %d %v/%v: %v", trial, crit, strat, err)
+			for _, shape := range shapes {
+				if shape.weights != nil && crit == Hh {
+					continue // Hh's per-vector bounds take no weights
 				}
-				assertMatchesOracle(t, crit.String()+"/"+strat.String(), res.Results, want)
+				want := oracleScan(vectors, deleted, q, k, crit.Distance(), shape.weights, shape.dims)
+				variants := []variant{
+					{StrategyAuto, 0}, {StrategyBOND, 0}, {StrategyExact, 0},
+					{StrategyAuto, 4}, {StrategyBOND, 4},
+				}
+				if shape.name == "full" && (crit == Hq || crit == Eq) {
+					variants = append(variants, variant{StrategyCompressed, 0}, variant{StrategyVAFile, 0})
+				}
+				for _, v := range variants {
+					label := crit.String() + "/" + shape.name + "/" + v.strat.String()
+					if v.parallel > 0 {
+						label += "/parallel"
+					}
+					res, err := col.Query(QuerySpec{Query: q, K: k, Criterion: crit,
+						Weights: shape.weights, Dims: shape.dims, Strategy: v.strat, Parallel: v.parallel})
+					if err != nil {
+						t.Fatalf("trial %d %s: %v", trial, label, err)
+					}
+					assertMatchesOracle(t, label, res.Results, want)
+				}
 			}
-			// Parallel fan-out plans must merge to the same answer.
-			res, err := col.Query(QuerySpec{Query: q, K: k, Criterion: crit, Parallel: 4})
-			if err != nil {
-				t.Fatalf("trial %d %v/parallel: %v", trial, crit, err)
-			}
-			assertMatchesOracle(t, crit.String()+"/parallel", res.Results, want)
 
-			// Legacy entry points, now thin wrappers over Query.
-			opts := Options{K: k, Criterion: crit}
-			sr, err := col.Search(q, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertMatchesOracle(t, crit.String()+"/Search", sr.Results, want)
-			sr, err = col.SearchParallel(q, opts, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertMatchesOracle(t, crit.String()+"/SearchParallel", sr.Results, want)
-			prog, err := col.SearchProgressive(q, opts)
+			want := oracleScan(vectors, deleted, q, k, crit.Distance(), nil, nil)
+			prog, err := col.SearchProgressive(q, Options{K: k, Criterion: crit})
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertMatchesOracle(t, crit.String()+"/SearchProgressive", prog.Finish().Results, want)
-			if crit == Hq || crit == Eq {
-				cr, err := col.SearchCompressed(q, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertMatchesOracle(t, crit.String()+"/SearchCompressed", cr.Results, want)
-			}
 			if crit == Hq {
-				mr, err := col.SearchMIL(q, MILOptions{K: k})
+				mil, err := core.SearchMIL(col.store.Flatten(), q, core.MILOptions{K: k})
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertMatchesOracle(t, "Hq/SearchMIL", mr.Results, want)
+				assertMatchesOracle(t, "Hq/MIL reference", mil.Results, want)
 				// A single weight-1 histogram feature aggregates to the
 				// plain intersection score.
 				multi, err := MultiSearch([]Feature{col.AsFeature(q, 1)}, MultiOptions{K: k})
